@@ -237,7 +237,8 @@ def measured_times(model: str, dataset: str, compute_model: str,
                                     framework)
             # One untimed warm-up run removes allocator/BLAS first-touch
             # noise from all variants equally; the measured repeats still
-            # include each framework's full pipeline-construction cost.
+            # include each framework's full pipeline-construction cost
+            # (measure() drops the graph memo the warm-up filled).
             pipeline.build().run()
             times = pipeline.measure(profile.repeats)
             cache.put("timing", cache_key, times, meta=_cell_meta(

@@ -76,21 +76,32 @@ def sgemm(a: np.ndarray, b: np.ndarray, bias: Optional[np.ndarray] = None,
             )
 
     start = time.perf_counter()
-    out = alpha * (a @ b)
+    out = a @ b
+    if alpha != 1.0:
+        out = alpha * out
     if beta != 0.0:
-        out = out + beta * c
+        out = _accumulate(out, beta * c)
     if bias is not None:
-        out = out + bias
+        out = _accumulate(out, bias)
     out = out.astype(np.float32, copy=False)
     if activation:
-        from repro.core.models.activations import get_activation
-        out = get_activation(activation)(out)
+        from repro.core.models.activations import activate_inplace
+        out = activate_inplace(activation, out)
     duration = time.perf_counter() - start
 
     recorder = L.active_recorder()
     if recorder is not None:
         _emit(recorder, a, b, out, duration, tag, epilogue=activation or "")
     return out
+
+
+def _accumulate(out: np.ndarray, term) -> np.ndarray:
+    """``out + term``, added into ``out`` (the kernel's own buffer) when
+    that does not change the result's dtype."""
+    if np.result_type(out, term) == out.dtype:
+        out += term
+        return out
+    return out + term
 
 
 def _row_tile_interleave(a_sweep: np.ndarray, b_sweep: np.ndarray,

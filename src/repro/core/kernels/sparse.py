@@ -80,11 +80,10 @@ def spmm(adjacency: CSRMatrix, dense: np.ndarray,
     start = time.perf_counter()
     out = adjacency.matmul(dense)
     if bias is not None:
-        out = out + bias
-    out = out.astype(np.float32, copy=False)
+        out += bias
     if activation:
-        from repro.core.models.activations import get_activation
-        out = get_activation(activation)(out)
+        from repro.core.models.activations import activate_inplace
+        out = activate_inplace(activation, out)
     duration = time.perf_counter() - start
 
     recorder = L.active_recorder()
@@ -187,11 +186,10 @@ def transform_spmm(a: np.ndarray, b: np.ndarray, adjacency: CSRMatrix,
     # the unfused transform output, then aggregate it.
     h = a @ b
     if bias is not None:
-        h = h + bias
-    h = h.astype(np.float32, copy=False)
+        h += bias
     if activation:
-        from repro.core.models.activations import get_activation
-        h = get_activation(activation)(h)
+        from repro.core.models.activations import activate_inplace
+        h = activate_inplace(activation, h)
     out = adjacency.matmul(h)
     duration = time.perf_counter() - start
 

@@ -13,7 +13,8 @@ import numpy as np
 
 from repro.errors import ModelError
 
-__all__ = ["ACTIVATIONS", "get_activation", "relu", "sigmoid", "identity"]
+__all__ = ["ACTIVATIONS", "activate_inplace", "get_activation", "relu",
+           "sigmoid", "identity"]
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -50,3 +51,14 @@ def get_activation(name: str) -> Callable[[np.ndarray], np.ndarray]:
             f"unknown activation {name!r}; known: {sorted(ACTIVATIONS)}"
         )
     return ACTIVATIONS[name]
+
+
+def activate_inplace(name: str, x: np.ndarray) -> np.ndarray:
+    """Apply activation ``name`` to a kernel's own output buffer ``x``.
+
+    ReLU overwrites ``x`` (bitwise what :func:`relu` returns) instead of
+    allocating a second output-sized array; other activations allocate.
+    """
+    if name == "relu":
+        return np.maximum(x, 0.0, out=x)
+    return get_activation(name)(x)

@@ -195,12 +195,16 @@ def time_end_to_end(backend: Backend, spec: PipelineSpec, graph: Graph,
 
     This is the paper's Fig. 3 measurement: each repeat pays the
     framework's full pipeline-construction cost, which is exactly where
-    PyG-style initialization overheads show up.
+    PyG-style initialization overheads show up.  The graph's memo is
+    dropped before each repeat, so gSuite's structure preparation is
+    timed cold too.
     """
+    from repro.plan.executor import forget_graph
     if repeats < 1:
         raise BackendError(f"repeats must be >= 1, got {repeats}")
     times = []
     for _ in range(repeats):
+        forget_graph(graph)
         start = time.perf_counter()
         pipeline = backend.build(spec, graph)
         pipeline.run()

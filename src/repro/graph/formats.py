@@ -318,6 +318,26 @@ class CSRMatrix(SparseMatrix):
         return CSCMatrix(self.indptr, self.indices, self.data,
                          shape=(self.shape[1], self.shape[0]))
 
+    def freeze(self, share=None) -> "CSRMatrix":
+        """Make this matrix read-only and compact, in place; returns ``self``.
+
+        The index arrays are narrowed to int32 when the values fit, the
+        width SciPy's constructor converts them to, so the SciPy view
+        (:meth:`_vendor`) shares them instead of holding a second copy.
+        Every array is swapped for a read-only view, so the buffers'
+        other owners keep write access.  ``share`` may map each new
+        array to an equal one to keep instead.
+        """
+        narrow = max(self.shape[1], self.nnz) <= np.iinfo(np.int32).max
+        for name in ("indptr", "indices", "data"):
+            array = getattr(self, name)
+            array = array.astype(np.int32) if narrow and name != "data" \
+                else array.view()
+            array.flags.writeable = False
+            setattr(self, name, share(array) if share is not None else array)
+        self._vendor_cache = None
+        return self
+
     # -- products ---------------------------------------------------------
     def _vendor(self) -> _sp.csr_matrix:
         """SciPy view of this matrix (cached — the container is

@@ -48,7 +48,13 @@ direct legacy paths, which is the contract the ``tests/plan`` parity
 suites pin.
 """
 
-from repro.plan.executor import NORMALIZE_KINDS, PlanExecutor, register_normalize
+from repro.plan.executor import (
+    NORMALIZE_KINDS,
+    PlanExecutor,
+    forget_graph,
+    graph_memo,
+    register_normalize,
+)
 from repro.plan.fusion import (
     FusionPolicy,
     describe_fusion,
@@ -157,9 +163,11 @@ __all__ = [
     "edge_balanced_ranges",
     "explain_choice",
     "find_shard_groups",
+    "forget_graph",
     "fuse_plan",
     "fusion_gain",
     "fusion_summary",
+    "graph_memo",
     "graph_signature",
     "host_key",
     "legacy_trace",

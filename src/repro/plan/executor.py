@@ -25,16 +25,19 @@ Two execution modes layer on top of the plain op walk, composably:
 preparation callables in :data:`NORMALIZE_KINDS` via
 :func:`register_normalize`.  Each callable receives
 ``(graph, params, inputs, tag)`` and returns a tuple with one entry per
-declared output.
+declared output; it must be a pure function of those arguments, because
+graph-only results are memoised per graph (:func:`graph_memo`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+import weakref
+from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
 from repro.core.kernels import (
+    active_recorder,
     fused_gather_scatter,
     index_select,
     scatter,
@@ -44,7 +47,7 @@ from repro.core.kernels import (
 )
 from repro.core.models.activations import get_activation
 from repro.errors import PlanError
-from repro.graph import Graph, add_self_loops, gcn_edge_weights
+from repro.graph import CSRMatrix, Graph, add_self_loops, gcn_edge_weights
 from repro.plan.ir import (
     Activation,
     Elementwise,
@@ -60,7 +63,7 @@ from repro.plan.ir import (
 )
 
 __all__ = ["PlanExecutor", "NORMALIZE_KINDS", "apply_elementwise_stage",
-           "register_normalize"]
+           "forget_graph", "graph_memo", "register_normalize"]
 
 
 def apply_elementwise_stage(stage, resolve):
@@ -87,6 +90,72 @@ def register_normalize(kind: str, fn: Callable, overwrite: bool = False) -> None
     if kind in NORMALIZE_KINDS and not overwrite:
         raise PlanError(f"normalize kind {kind!r} already registered")
     NORMALIZE_KINDS[kind] = fn
+
+
+# ---------------------------------------------------------------------------
+# Per-graph memo of graph-only work
+# ---------------------------------------------------------------------------
+
+#: Plan flavors whose graph-only ``Normalize`` outputs are memoised.  The
+#: PyG-like and DGL-like flavors rebuild their structures every run on
+#: purpose: that rebuild is the framework overhead Fig. 3 measures.
+_MEMO_FLAVORS = frozenset({"native", "adaptive"})
+
+_GRAPH_MEMO: "weakref.WeakKeyDictionary[Graph, Dict[Hashable, Any]]" = \
+    weakref.WeakKeyDictionary()
+
+
+def graph_memo(graph: Graph) -> Dict[Hashable, Any]:
+    """The memo of results that depend only on ``graph``.
+
+    Entries live as long as the graph object does.  Holds the outputs of
+    graph-only ``Normalize`` ops (see :class:`PlanExecutor`) and the
+    planner's :class:`~repro.plan.planner.GraphStats`.
+    """
+    return _GRAPH_MEMO.setdefault(graph, {})
+
+
+def forget_graph(graph: Graph) -> None:
+    """Drop every memoised result of ``graph`` (the next run is cold)."""
+    _GRAPH_MEMO.pop(graph, None)
+
+
+def _memo_arrays(memo: Dict[Hashable, Any]):
+    """Every array held by ``memo``'s ``Normalize`` entries."""
+    # A snapshot: another thread may add entries (e.g. GraphStats).
+    for values in list(memo.values()):
+        for value in values if isinstance(values, tuple) else ():
+            if isinstance(value, CSRMatrix):
+                yield from (value.indptr, value.indices, value.data)
+            elif isinstance(value, np.ndarray):
+                yield value
+
+
+def _share(array: np.ndarray, memo: Dict[Hashable, Any]) -> np.ndarray:
+    """An array equal to ``array`` that ``memo`` already holds, else
+    ``array`` itself."""
+    for stored in _memo_arrays(memo):
+        if (stored.dtype == array.dtype and stored.shape == array.shape
+                and np.array_equal(stored, array)):
+            return stored
+    return array
+
+
+def _freeze(value, memo: Dict[Hashable, Any]):
+    """Read-only form of one ``Normalize`` output about to join ``memo``.
+
+    Arrays equal to one the memo already holds are replaced by it, so
+    each is stored once: GCN's and SAGE's MP endpoints are both the edge
+    list of ``A + I``, and GCN's and GIN's SpMM matrices share the
+    structure of ``A + I``.
+    """
+    if isinstance(value, CSRMatrix):
+        return value.freeze(share=lambda array: _share(array, memo))
+    if isinstance(value, np.ndarray):
+        value = value.view()
+        value.flags.writeable = False
+        return _share(value, memo)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +283,16 @@ for _kind, _fn in (
 class PlanExecutor:
     """Interprets :class:`ExecutionPlan` values over a bound graph.
 
+    Graph-only structure preparation runs once per graph: a
+    ``Normalize`` op with no inputs, or whose inputs are all outputs of
+    such ops, has its outputs stored read-only in :func:`graph_memo`,
+    and later runs over the same graph object reuse them.  The key is
+    the kind, its registered callable, the params and the keys of the
+    inputs, so re-registering a kind never serves stale values.  Only
+    ``native`` and ``adaptive`` plans use the memo, and no run does while a
+    launch recorder is active, so recorded traces still carry the
+    preparation launches.
+
     Parameters
     ----------
     on_op:
@@ -247,6 +326,9 @@ class PlanExecutor:
         #: Node segments of the currently bound batched plan (``None``
         #: while running unbatched plans — set per :meth:`run`).
         self._segments = None
+        #: Memo keys of the current run's graph-only values, by value
+        #: id (``None`` when the plan's flavor does not memoise).
+        self._graph_keys: Optional[Dict[int, Hashable]] = None
         #: Shard-local + merge launches of the last sharded run.
         #: Populated while an ambient recorder is active (or while the
         #: shard cache stores entries); un-instrumented runs skip the
@@ -276,6 +358,7 @@ class PlanExecutor:
         :attr:`~repro.plan.sharding.ShardingPolicy.local_tails`).
         """
         self._segments = None
+        self._graph_keys = {} if plan.flavor in _MEMO_FLAVORS else None
         if plan.batch is None and getattr(graph, "num_graphs", 1) > 1:
             # The converse of the checks below: an unstamped plan over
             # a packed workload would run its dense transforms packed
@@ -366,7 +449,6 @@ class PlanExecutor:
                      graph: Graph, group_at: Dict) -> np.ndarray:
         """The sharded op walk: groups dispatch, everything else inline."""
         from repro.bench.pool import WorkerPool
-        from repro.core.kernels.launch import active_recorder
         from repro.plan.sharding import ShardDispatcher
         dispatcher = ShardDispatcher(self.sharding)
         recorder = active_recorder()
@@ -417,7 +499,13 @@ class PlanExecutor:
             out = index_select(env[op.source.vid], env[op.index.vid],
                                tag=op.tag)
             if op.scale is not None:
-                out = out * env[op.scale.vid][:, None]
+                scale = env[op.scale.vid][:, None]
+                # index_select returns a fresh array: scale it in place
+                # unless the product would promote its dtype.
+                if np.result_type(out, scale) == out.dtype:
+                    out *= scale
+                else:
+                    out = out * scale
             env[op.out.vid] = out
             return out
         if isinstance(op, ScatterReduce):
@@ -478,13 +566,28 @@ class PlanExecutor:
             env[op.out.vid] = out
             return out
         if isinstance(op, Normalize):
-            try:
-                fn = NORMALIZE_KINDS[op.kind]
-            except KeyError:
-                raise PlanError(
-                    f"unknown normalize kind {op.kind!r}; known: "
-                    f"{sorted(NORMALIZE_KINDS)}"
-                ) from None
+            return self._normalize(op, env, graph)
+        raise PlanError(f"unknown plan op {type(op).__name__}")
+
+    def _normalize(self, op: Normalize, env: Dict[int, Any], graph: Graph):
+        """Run one ``Normalize`` op, through the graph memo when the op
+        is graph-only (see the class docstring)."""
+        try:
+            fn = NORMALIZE_KINDS[op.kind]
+        except KeyError:
+            raise PlanError(
+                f"unknown normalize kind {op.kind!r}; known: "
+                f"{sorted(NORMALIZE_KINDS)}"
+            ) from None
+        keys = self._graph_keys
+        key = memo = values = None
+        if keys is not None and all(ref.vid in keys for ref in op.inputs):
+            key = (op.kind, fn, tuple(sorted(op.params)),
+                   tuple(keys[ref.vid] for ref in op.inputs))
+            if active_recorder() is None:
+                memo = graph_memo(graph)
+                values = memo.get(key)
+        if values is None:
             resolved: Tuple = tuple(env[ref.vid] for ref in op.inputs)
             values = fn(graph, op.param_dict(), resolved, op.tag)
             if len(values) != len(op.outs):
@@ -492,7 +595,10 @@ class PlanExecutor:
                     f"normalize {op.kind!r} produced {len(values)} values "
                     f"for {len(op.outs)} outputs"
                 )
-            for ref, value in zip(op.outs, values):
-                env[ref.vid] = value
-            return values
-        raise PlanError(f"unknown plan op {type(op).__name__}")
+            if memo is not None:
+                values = memo[key] = tuple(_freeze(v, memo) for v in values)
+        for index, (ref, value) in enumerate(zip(op.outs, values)):
+            env[ref.vid] = value
+            if key is not None:
+                keys[ref.vid] = (key, index)
+        return values

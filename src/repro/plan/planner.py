@@ -108,7 +108,21 @@ class GraphStats:
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "GraphStats":
-        """Measure a materialised workload graph."""
+        """Measure a materialised workload graph.
+
+        The in-degree pass is O(E), so the result is kept in the graph's
+        :func:`~repro.plan.executor.graph_memo` and measured once per
+        graph object.
+        """
+        from repro.plan.executor import graph_memo
+        memo = graph_memo(graph)
+        stats = memo.get(cls)
+        if stats is None:
+            stats = memo[cls] = cls._measure(graph)
+        return stats
+
+    @classmethod
+    def _measure(cls, graph: Graph) -> "GraphStats":
         in_degrees = graph.in_degrees()
         mean = float(in_degrees.mean()) if in_degrees.size else 0.0
         skew = float(in_degrees.max()) / mean if mean > 0 else 1.0
