@@ -97,13 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "lets the planner decide, 'off' (or 1, the "
                             "default) disables, K >= 2 forces K shards")
         p.add_argument("--partitioner", type=_knob_type("partitioner"),
-                       default=None, metavar="auto|rows|edges|degree",
+                       default=None, metavar="auto|rows|edges",
                        help="shard partitioner: 'auto' (default) lets the "
                             "planner's skew gate decide, 'rows' (= 'off') "
                             "splits even row ranges, 'edges' balances "
-                            "edges over contiguous ranges, 'degree' "
-                            "groups degree-sorted rows (explicit opt-in; "
-                            "incompatible with batched plans)")
+                            "edges over contiguous ranges")
         p.add_argument("--fuse", default=None,
                        choices=["auto", "off", "force"],
                        help="plan-level operator fusion: 'auto' lets the "
@@ -385,7 +383,6 @@ def _cmd_plan(args) -> int:
     if decisions.shards > 1:
         import numpy as np
         from repro.plan import (
-            degree_grouped_rows,
             edge_balanced_ranges,
             find_shard_groups,
             shard_ranges,
@@ -394,13 +391,9 @@ def _cmd_plan(args) -> int:
         row_edges = np.bincount(graph.dst, minlength=graph.num_nodes)
         if decisions.partitioner == "edges":
             shards = edge_balanced_ranges(row_edges, decisions.shards)
-            counts = [int(row_edges[lo:hi].sum()) for lo, hi in shards]
-        elif decisions.partitioner == "degree":
-            shards = degree_grouped_rows(row_edges, decisions.shards)
-            counts = [int(row_edges[rows].sum()) for rows in shards]
         else:
             shards = shard_ranges(graph.num_nodes, decisions.shards)
-            counts = [int(row_edges[lo:hi].sum()) for lo, hi in shards]
+        counts = [int(row_edges[lo:hi].sum()) for lo, hi in shards]
         groups = find_shard_groups(plan)
         print(f"sharding: {len(shards)} destination-range shards "
               f"({decisions.shards_source}) over {len(groups)} "

@@ -113,7 +113,6 @@ from repro.plan.sharding import (
     ShardGroup,
     ShardingPolicy,
     build_shard_subplan,
-    degree_grouped_rows,
     edge_balanced_ranges,
     find_shard_groups,
     shard_ranges,
@@ -158,7 +157,6 @@ __all__ = [
     "choose_partitioner",
     "choose_shards",
     "default_profile_path",
-    "degree_grouped_rows",
     "describe_fusion",
     "edge_balanced_ranges",
     "explain_choice",

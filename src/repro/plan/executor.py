@@ -62,17 +62,14 @@ from repro.plan.ir import (
     SpMM,
 )
 
-__all__ = ["PlanExecutor", "NORMALIZE_KINDS", "apply_elementwise_stage",
-           "forget_graph", "graph_memo", "register_normalize"]
+__all__ = ["PlanExecutor", "NORMALIZE_KINDS", "forget_graph", "graph_memo",
+           "register_normalize"]
 
 
-def apply_elementwise_stage(stage, resolve):
+def _apply_elementwise_stage(stage, resolve):
     """Evaluate one ``Elementwise`` / ``Activation`` stage.
 
     ``resolve`` maps a :class:`~repro.plan.ir.ValueRef` to its value.
-    Shared by the executor's op dispatch and the sharding dispatcher's
-    in-process tail replay (:func:`repro.plan.sharding._apply_tail`),
-    so the two can never diverge on stage semantics.
     """
     if isinstance(stage, Activation):
         return get_activation(stage.function)(resolve(stage.source))
@@ -354,8 +351,8 @@ class PlanExecutor:
         ``SGEMM`` launches run *segment-local* per member row range,
         because BLAS blocking varies with the row count and a packed
         GEMM is not guaranteed bitwise against the per-member launches
-        (the measured caveat behind
-        :attr:`~repro.plan.sharding.ShardingPolicy.local_tails`).
+        (measured: float32 GEMMs over different row counts can differ in
+        the last ulp).
         """
         self._segments = None
         self._graph_keys = {} if plan.flavor in _MEMO_FLAVORS else None
@@ -397,19 +394,6 @@ class PlanExecutor:
                     f"{plan.batch.node_offsets} do not match the bound "
                     f"graph's packing {tuple(int(o) for o in offsets)}"
                 )
-            if (self.sharding is not None
-                    and self.sharding.num_shards > 1
-                    and self.sharding.partitioner == "degree"):
-                # The degree partitioner regroups rows by in-degree —
-                # shard row lists cut across member boundaries in an
-                # order the segment map does not describe.  Refuse at
-                # bind time rather than silently merging packed
-                # segments under a permuted row order.
-                raise PlanError(
-                    "the 'degree' partitioner permutes shard row order "
-                    "and does not compose with a batched plan's packed "
-                    "member segments; use the 'rows' or 'edges' "
-                    "partitioner for batched execution")
             if plan.batch.num_graphs > 1:
                 self._segments = plan.batch.node_segments()
         env: Dict[int, Any] = dict(plan.constants)
@@ -441,8 +425,7 @@ class PlanExecutor:
         from repro.plan.sharding import find_shard_groups, shard_ranges
         if len(shard_ranges(graph.num_nodes, self.sharding.num_shards)) < 2:
             return {}
-        groups = find_shard_groups(
-            plan, local_tails=self.sharding.local_tails)
+        groups = find_shard_groups(plan)
         return {group.start: group for group in groups}
 
     def _run_sharded(self, plan: ExecutionPlan, env: Dict[int, Any],
@@ -463,7 +446,7 @@ class PlanExecutor:
                         continue
                     group = group_at.get(position)
                     if group is not None:
-                        env[group.out_vid] = dispatcher.execute_group(
+                        env[group.agg_out_vid] = dispatcher.execute_group(
                             group, env, graph, pool, recorder)
                         skip.update(group.positions)
                         continue
@@ -561,7 +544,7 @@ class PlanExecutor:
 
             out = None
             for stage in stages:
-                out = apply_elementwise_stage(stage, _resolve)
+                out = _apply_elementwise_stage(stage, _resolve)
                 local[stage.out.vid] = out
             env[op.out.vid] = out
             return out

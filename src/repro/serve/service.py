@@ -263,6 +263,10 @@ class InferenceService:
         }
 
 
+#: Longest request line the TCP server reads (asyncio's stream default).
+LINE_LIMIT = 2 ** 16
+
+
 async def serve_tcp(service: InferenceService, host: str = "127.0.0.1",
                     port: int = 0, max_requests: Optional[int] = None,
                     ready=None) -> int:
@@ -270,9 +274,11 @@ async def serve_tcp(service: InferenceService, host: str = "127.0.0.1",
 
     One request object per line in, one response summary per line out
     (errors come back as ``{"error": ...}`` instead of killing the
-    connection).  ``ready`` is called with the bound ``(host, port)``
-    once listening — the CLI prints it, tests connect to it.  Returns
-    the number of requests answered.
+    connection).  A line longer than :data:`LINE_LIMIT` bytes gets an
+    error reply and ends that connection only; it does not count as an
+    answered request.  ``ready`` is called with the bound
+    ``(host, port)`` once listening — the CLI prints it, tests connect
+    to it.  Returns the number of requests answered.
     """
     served = 0
     done = asyncio.Event()
@@ -281,7 +287,20 @@ async def serve_tcp(service: InferenceService, host: str = "127.0.0.1",
         nonlocal served
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # asyncio's LimitOverrunError: the stream cannot be
+                    # re-framed, so answer and drop this connection.
+                    error = f"request line exceeds the {LINE_LIMIT}-byte limit"
+                    writer.write(json.dumps({"error": error}).encode() + b"\n")
+                    writer.write_eof()
+                    # Read what the client still sends until it closes:
+                    # closing over unread input would reset the
+                    # connection and could discard the reply.
+                    while await reader.read(LINE_LIMIT):
+                        pass
+                    break
                 if not line:
                     break
                 try:
@@ -299,7 +318,7 @@ async def serve_tcp(service: InferenceService, host: str = "127.0.0.1",
         finally:
             writer.close()
 
-    server = await asyncio.start_server(handle, host, port)
+    server = await asyncio.start_server(handle, host, port, limit=LINE_LIMIT)
     bound = server.sockets[0].getsockname()[:2]
     if ready is not None:
         ready(bound)

@@ -124,7 +124,7 @@ class TestKnobs:
     @pytest.mark.parametrize("name,bad", [
         ("shards", "some"), ("shards", 2.5),
         ("shards", True), ("batch", "many"), ("batch", False),
-        ("fuse", "maybe"),
+        ("fuse", "maybe"), ("partitioner", "degree"),
     ])
     def test_uniform_refusal(self, name, bad):
         knob = KNOBS[name]

@@ -1,17 +1,16 @@
 """Partitioner contracts: skew-aware sharding stays invisible.
 
-Three surfaces of the edge-balanced ("edges") and degree-grouped
-("degree") partitioners:
+Three surfaces of the even-row ("rows") and edge-balanced ("edges")
+partitioners:
 
 * **Partition shape** — edge-balanced bounds cover every row exactly
-  once with ~``E / K`` edges per shard; degree grouping is a
-  permutation whose merge restores bitwise row order.
+  once with ~``E / K`` edges per shard.
 * **Parity** — random power-law graphs x model x partitioner x shard
   count: outputs and the ambient (canonical) trace fingerprints are
   bit-for-bit identical to unsharded execution, whatever the split.
-* **Boundaries** — the planner's skew gate never picks the
-  row-permuting mode, shard-cache keys distinguish partitioners, and
-  the degree partitioner refuses batched plans at bind time.
+* **Boundaries** — unknown partitioners (including the removed
+  ``"degree"`` mode) are refused, shard-cache keys distinguish
+  partitioners, and both partitioners compose with batched plans.
 """
 
 import numpy as np
@@ -32,7 +31,6 @@ from repro.plan import (
     PARTITIONERS,
     ShardingPolicy,
     choose_partitioner,
-    degree_grouped_rows,
     edge_balanced_ranges,
     shard_ranges,
 )
@@ -89,33 +87,6 @@ class TestEdgeBalancedRanges:
         assert edge_balanced_ranges([4, 4], 7) == [(0, 1), (1, 2)]
 
 
-class TestDegreeGroupedRows:
-    def test_rows_cover_exactly_once(self):
-        rng = np.random.default_rng(2)
-        counts = rng.integers(0, 12, size=60)
-        shards = degree_grouped_rows(counts, 5)
-        assert np.array_equal(np.sort(np.concatenate(shards)),
-                              np.arange(60))
-
-    def test_heaviest_rows_group_first(self):
-        counts = np.array([1, 9, 1, 8, 1, 7, 1])
-        shards = degree_grouped_rows(counts, 3)
-        assert set(shards[0]) == {1, 3}          # the two heaviest rows
-        assert all(np.all(np.diff(rows) > 0) for rows in shards if len(rows))
-
-    def test_sorted_split_isolates_scattered_hub(self):
-        counts = np.array([1, 1, 1, 25, 1, 1, 1, 1, 1])
-        shards = degree_grouped_rows(counts, 3)
-        assert [rows.tolist() for rows in shards] == \
-            [[3], [0], [1, 2, 4, 5, 6, 7, 8]]
-        # The contiguous edge-balanced split has to drag the hub's
-        # light left-neighbours along; the sorted grouping does not.
-        ranges = edge_balanced_ranges(counts, 3)
-        contiguous = max(int(counts[lo:hi].sum()) for lo, hi in ranges)
-        grouped = max(int(counts[rows].sum()) for rows in shards)
-        assert grouped < contiguous
-
-
 class TestSkewGate:
     FLAT = GraphStats(num_nodes=1000, num_edges=4000, feature_width=16,
                       avg_degree=4.0, density=0.004, degree_skew=2.0)
@@ -130,13 +101,6 @@ class TestSkewGate:
 
     def test_single_shard_never_balances(self):
         assert choose_partitioner(self.SKEWED, 1) == "rows"
-
-    def test_planner_never_permutes_rows(self):
-        for skew in (1.0, 8.0, 100.0, 10000.0):
-            stats = GraphStats(num_nodes=1000, num_edges=4000,
-                               feature_width=16, avg_degree=4.0,
-                               density=0.004, degree_skew=skew)
-            assert choose_partitioner(stats, 8) != "degree"
 
     def test_threshold_is_profile_driven(self):
         lax = CostProfile.paper().with_overrides(
@@ -179,8 +143,9 @@ class TestPartitionerBoundaries:
         return load_dataset("cora", scale=0.15, seed=1)
 
     def test_unknown_partitioner_refused(self):
-        with pytest.raises(PlanError, match="partitioner"):
-            ShardingPolicy(num_shards=2, partitioner="hashed")
+        for name in ("hashed", "degree"):
+            with pytest.raises(PlanError, match="partitioner"):
+                ShardingPolicy(num_shards=2, partitioner=name)
 
     def test_cache_keys_distinguish_partitioners(self, graph):
         cache = get_cache()
@@ -189,11 +154,11 @@ class TestPartitionerBoundaries:
                 .configure_sharding(ShardingPolicy(
                     num_shards=3, use_cache=True, partitioner=partitioner))
             built.run()
-        # 2 MP layers x 3 shards x 3 partitioners with no key
-        # collisions: had two partitioners shared a key, the later run
-        # would hit the earlier entry and store fewer than 18.
+        # 2 MP layers x 3 shards x 2 partitioners with no key
+        # collisions: had the partitioners shared a key, the later run
+        # would hit the earlier entry and store fewer than 12.
         shard_entries = [e for e in cache.entries() if e.kind == "shard"]
-        assert len(shard_entries) == 18
+        assert len(shard_entries) == 12
 
     def test_shard_report_names_partitioner(self, graph):
         built = get_backend("gsuite").build(_spec("gcn", "MP"), graph) \
@@ -203,15 +168,6 @@ class TestPartitionerBoundaries:
         for dispatch in built._executor.shard_report:
             assert dispatch.partitioner == "edges"
             assert dispatch.num_shards == 3
-
-    def test_degree_refuses_batched_plans(self):
-        from repro.core.config import SuiteConfig
-        from repro.core.pipeline import GNNPipeline
-        pipeline = GNNPipeline(SuiteConfig(
-            dataset="cora", scale=0.1, batch=2, shards=2,
-            partitioner="degree"))
-        with pytest.raises(PlanError, match="degree"):
-            pipeline.run()
 
     def test_rows_and_edges_compose_with_batching(self):
         from repro.core.config import SuiteConfig

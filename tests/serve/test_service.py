@@ -26,6 +26,7 @@ from repro.serve import (
     solo_reference,
 )
 from repro.serve.loadgen import dataset_mix, percentile
+from repro.serve.service import LINE_LIMIT
 
 
 def _graph(width=4, nodes=10, seed=0, name="g"):
@@ -271,6 +272,35 @@ class TestTcpServer:
         assert first["output_shape"] == [10, 4]
         assert first["source"] == "solo"
         assert "error" in second and "nope" in second["error"]
+
+    def test_oversize_line_gets_error_and_server_keeps_serving(self):
+        async def scenario():
+            service = InferenceService(SuiteConfig(serve_batch=1,
+                                                   serve_window=0.01))
+            async with service:
+                ready = asyncio.get_running_loop().create_future()
+                server = asyncio.ensure_future(serve_tcp(
+                    service, port=0, max_requests=1,
+                    ready=ready.set_result))
+                host, port = await ready
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(b"x" * (LINE_LIMIT + 4096) + b"\n")
+                await writer.drain()
+                oversize = json.loads(await reader.readline())
+                writer.close()
+                reader, writer = await asyncio.open_connection(host, port)
+                good = InferenceRequest(request_id="t3", graph=_graph(),
+                                        out_features=4)
+                writer.write(json.dumps(good.to_dict()).encode() + b"\n")
+                await writer.drain()
+                answered = json.loads(await reader.readline())
+                writer.close()
+                return oversize, answered, await server
+
+        oversize, answered, served = asyncio.run(scenario())
+        assert str(LINE_LIMIT) in oversize["error"]
+        assert answered["request_id"] == "t3"
+        assert served == 1
 
 
 class TestLoadgen:

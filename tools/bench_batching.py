@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -46,6 +45,8 @@ from repro.datasets import load_dataset  # noqa: E402
 from repro.frameworks import PipelineSpec, get_backend  # noqa: E402
 from repro.graph import BatchedGraph  # noqa: E402
 from repro.plan import GraphStats, choose_batching  # noqa: E402
+
+from _timing import best_seconds  # noqa: E402
 
 #: Seed-variant sweep width per cell (the amortisation denominator).
 SWEEP = 8
@@ -67,15 +68,6 @@ WORKLOADS = (
     ("gin", "cora", 1.0),
 )
 
-
-def _best_seconds(fn, repeats: int) -> float:
-    fn()  # warm-up: plan cache, allocator, BLAS thread pools
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _sub_batches(members, size):
@@ -128,8 +120,8 @@ def run(profile_name: str, repeats: int, out_path: Path) -> int:
                     parity_ok = False
                     break
 
-        base_s = _best_seconds(unbatched_sweep, repeats)
-        batched_s = _best_seconds(batched_sweep, repeats) \
+        base_s = best_seconds(unbatched_sweep, repeats)
+        batched_s = best_seconds(batched_sweep, repeats) \
             if packs is not None else base_s
 
         member = members[0]

@@ -42,6 +42,8 @@ from repro.core import GNNPipeline  # noqa: E402
 from repro.plan.calibrate import check_decisions, fit_profile  # noqa: E402
 from repro.plan.costprofile import CostProfile, calibration_dir  # noqa: E402
 
+from _timing import best_seconds  # noqa: E402
+
 #: (model, dataset) end-to-end cells: the citation trio plus Reddit —
 #: the regimes where the MP/SpMM decision actually swings (sparse wide
 #: rows vs dense narrow ones).
@@ -52,15 +54,6 @@ WORKLOADS = (
     ("gcn", "reddit"),
 )
 
-
-def _best_seconds(fn, repeats: int) -> float:
-    fn()  # warm-up: plan cache, allocator, BLAS thread pools
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _accuracy(cells) -> int:
@@ -93,7 +86,7 @@ def run(profile_name: str, repeats: int, out_path: Path) -> int:
             pipeline = GNNPipeline.from_params(
                 model=model, dataset=dataset, scale=scale,
                 framework="gsuite-adaptive", profile_costs=costs)
-            return _best_seconds(lambda: pipeline.build().run(), repeats)
+            return best_seconds(lambda: pipeline.build().run(), repeats)
 
         paper_s = sweep("paper")
         calib_s = sweep(str(profile_path))

@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -56,6 +55,8 @@ from repro.plan import (  # noqa: E402
 )
 from repro.plan.sharding import ShardingPolicy  # noqa: E402
 
+from _timing import best_seconds  # noqa: E402
+
 #: (model, dataset, compute model) cells.  SAGE/GIN Reddit-MP are the
 #: message-matrix workloads fusion targets; GCN-SpMM is the SGEMM-heavy
 #: epilogue cell; GCN-MP rides along as the small-message control (its
@@ -67,15 +68,6 @@ WORKLOADS = (
     ("gcn", "reddit", "MP"),
 )
 
-
-def _best_seconds(fn, repeats: int) -> float:
-    fn()  # warm-up: allocator, BLAS thread pools, lazy structures
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _peak_bytes(fn) -> int:
@@ -136,8 +128,8 @@ def run(profile_name: str, scale_override, repeats: int,
                             f"output mismatch")
             continue
 
-        base_s = _best_seconds(unfused.run, repeats)
-        fused_s = _best_seconds(fused.run, repeats)
+        base_s = best_seconds(unfused.run, repeats)
+        fused_s = best_seconds(fused.run, repeats)
         base_peak = _peak_bytes(unfused.run)
         fused_peak = _peak_bytes(fused.run)
         summary = fusion_summary(fused.plan)

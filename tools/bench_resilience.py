@@ -30,7 +30,6 @@ import argparse
 import json
 import multiprocessing
 import sys
-import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -43,6 +42,8 @@ from repro.bench.pool import WorkerPool  # noqa: E402
 from repro.datasets import load_dataset  # noqa: E402
 from repro.frameworks import PipelineSpec, get_backend  # noqa: E402
 from repro.plan.sharding import ShardingPolicy  # noqa: E402
+
+from _timing import best_seconds, timed  # noqa: E402
 
 #: Per-attempt injected failure probabilities for the sweep.
 FAILURE_RATES = (0.0, 0.05, 0.20)
@@ -60,16 +61,6 @@ def _work(n: int) -> float:
         a = np.tanh(a * 1.01) + 0.1
     return float(a.sum())
 
-
-def _timed(fn) -> float:
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
-
-
-def _best(fn, repeats: int) -> float:
-    fn()  # warm-up: allocator, BLAS threads, lazy structures
-    return min(_timed(fn) for _ in range(repeats))
 
 
 def bench_overhead(tasks: int, jobs: int, repeats: int) -> dict:
@@ -104,10 +95,10 @@ def bench_overhead(tasks: int, jobs: int, repeats: int) -> dict:
         fn()   # warm-up: allocators, BLAS threads, fork machinery
     serial_s = serial_sup_s = pooled_s = pooled_sup_s = float("inf")
     for _ in range(repeats):
-        serial_s = min(serial_s, _timed(plain_loop))
-        serial_sup_s = min(serial_sup_s, _timed(supervised_serial))
-        pooled_s = min(pooled_s, _timed(raw_pool))
-        pooled_sup_s = min(pooled_sup_s, _timed(supervised_pool))
+        serial_s = min(serial_s, timed(plain_loop))
+        serial_sup_s = min(serial_sup_s, timed(supervised_serial))
+        pooled_s = min(pooled_s, timed(raw_pool))
+        pooled_sup_s = min(pooled_sup_s, timed(supervised_pool))
     result = {
         "tasks": tasks,
         "jobs": jobs,
@@ -154,7 +145,7 @@ def bench_fault_rates(scale: float, shards: int, jobs: int,
             if not np.array_equal(out, reference):
                 failures.append(f"rate={rate:g}: output mismatch")
                 continue
-            seconds = _best(built.run, repeats)
+            seconds = best_seconds(built.run, repeats)
         finally:
             faults.deactivate()
         report = built.dispatch_report.to_dict()

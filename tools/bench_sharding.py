@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -45,6 +44,8 @@ from repro.frameworks import PipelineSpec, get_backend  # noqa: E402
 from repro.plan import GraphStats, choose_shards  # noqa: E402
 from repro.plan.sharding import ShardingPolicy  # noqa: E402
 
+from _timing import best_seconds  # noqa: E402
+
 #: (model, dataset, compute model) — the memory-bound MP aggregation
 #: workloads sharding targets.  GCN rides along as the control: its
 #: transform-first path aggregates at the output width, so its messages
@@ -55,16 +56,6 @@ WORKLOADS = (
     ("gcn", "reddit", "MP"),
 )
 
-
-def _best_seconds(fn, repeats: int) -> float:
-    fn()  # warm-up: allocator, BLAS thread pools, lazy structures
-    return min(_timed(fn) for _ in range(repeats))
-
-
-def _timed(fn) -> float:
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
 
 
 def run(profile_name: str, scale_override, shard_list, repeats: int,
@@ -85,7 +76,7 @@ def run(profile_name: str, scale_override, shard_list, repeats: int,
             formats=list(built.plan.layer_formats),
             width_hook=cls.aggregation_width)
         reference = built.run()
-        base_s = _best_seconds(built.run, repeats)
+        base_s = best_seconds(built.run, repeats)
         print(f"{model:5s} {dataset}@{scale:g}  N={graph.num_nodes} "
               f"E={graph.num_edges} f={graph.num_features}  "
               f"planner K={auto_k}")
@@ -109,7 +100,7 @@ def run(profile_name: str, scale_override, shard_list, repeats: int,
             if not np.array_equal(out, reference):
                 failures.append(f"{model}/{dataset} K={k}: output mismatch")
                 continue
-            seconds = _best_seconds(sharded.run, repeats)
+            seconds = best_seconds(sharded.run, repeats)
             label = f"sharded-K{k}" + ("" if jobs == 1 else f"-jobs{jobs}")
             if requested == "auto":
                 label += " (planner)"

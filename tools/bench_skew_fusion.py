@@ -32,7 +32,6 @@ import argparse
 import json
 import re
 import sys
-import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -54,6 +53,8 @@ from repro.plan import (  # noqa: E402
     choose_shards,
 )
 
+from _timing import best_seconds  # noqa: E402
+
 #: MP aggregation workloads for the skew section.
 SKEW_WORKLOADS = (
     ("sage", "reddit", "MP"),
@@ -71,16 +72,6 @@ FUSION_WORKLOADS = (
 #: clear it on every workload whose planner decision is "edges".
 REQUIRED_SPEEDUP = 1.3
 
-
-def _best_seconds(fn, repeats: int) -> float:
-    fn()  # warm-up: allocator, BLAS thread pools, lazy structures
-    return min(_timed(fn) for _ in range(repeats))
-
-
-def _timed(fn) -> float:
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
 
 
 def _degree_sorted(graph: Graph) -> Graph:
@@ -164,7 +155,7 @@ def bench_skew(simulator, profile, scale_override, repeats, failures):
                 continue
             makespan, total = _shard_cycles(
                 simulator, sharded._executor.shard_trace)
-            seconds = _best_seconds(sharded.run, repeats)
+            seconds = best_seconds(sharded.run, repeats)
             entry["partitioners"][partitioner] = {
                 "makespan_cycles": round(makespan, 1),
                 "total_cycles": round(total, 1),
@@ -209,8 +200,8 @@ def bench_fusion(simulator, profile, scale_override, repeats, failures):
             failures.append(f"{model}/{dataset} fused: output mismatch")
             continue
         counts = fused.plan.meta["fusion"]
-        base_s = _best_seconds(unfused.run, repeats)
-        fused_s = _best_seconds(fused.run, repeats)
+        base_s = best_seconds(unfused.run, repeats)
+        fused_s = best_seconds(fused.run, repeats)
         base_cycles = _total_cycles(simulator, ref_rec.launches)
         fused_cycles = _total_cycles(simulator, rec.launches)
         entry = {
